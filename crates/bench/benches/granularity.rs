@@ -5,7 +5,7 @@
 
 use carat_kernel::PhysicalMemory;
 use carat_runtime::{
-    perform_move, perform_move_alloc_granular, AllocKind, AllocationTable, CostModel, MemAccess,
+    perform_move_alloc_granular, perform_moves, AllocKind, AllocationTable, CostModel, MemAccess,
     MoveRequest,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -43,16 +43,17 @@ fn bench(c: &mut Criterion) {
             setup,
             |(mut t, mut m)| {
                 let mut regs = [0u64; 16];
-                perform_move(
-                    &mut t,
+                perform_moves(
+                    &mut [&mut t],
                     &mut m,
                     &mut regs,
-                    MoveRequest {
+                    &[MoveRequest {
                         src: 0x100000,
                         len: 0x1000,
                         dst: 0x800000,
-                    },
+                    }],
                     &cost,
+                    None,
                 )
             },
             criterion::BatchSize::SmallInput,

@@ -347,7 +347,7 @@ fn run_admission(tenants: usize, scale: Scale) -> AdmissionResult {
     };
 
     let t0 = Instant::now();
-    let mut batch = MultiVm::new(Vec::new(), fleet_cfg.clone()).expect("empty fleet builds");
+    let mut batch = MultiVm::new(Vec::new(), fleet_cfg).expect("empty fleet builds");
     let pids = spawn_fleet(&mut batch, &module, &cfg, tenants, SpawnMode::Batch);
     let ns_per_admit_batch = t0.elapsed().as_nanos() as f64 / tenants.max(1) as f64;
     let batch_cycles = batch.admission_cycles();

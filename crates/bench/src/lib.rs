@@ -136,9 +136,9 @@ pub fn scale_from_args() -> Scale {
     Scale::Small
 }
 
-/// Read the move-engine worker count from argv (`--workers N`;
-/// default 1 = serial). Sets both the host patch threads and the cost
-/// model's `patch_workers`, mirroring `SimKernel::set_move_workers`.
+/// Read the modeled move-engine worker count from argv (`--workers N`;
+/// default 1 = serial): the cost model's `patch_workers`, as
+/// `SimKernel::set_move_workers` sets it.
 pub fn workers_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
     for w in args.windows(2) {

@@ -9,16 +9,16 @@ use crate::faults::{FaultPlan, FaultPoint, KernelError};
 use crate::loader::{load_signed, load_unsigned, LoadConfig, LoadError, ProcessImage};
 use crate::pagetable::{PageTable, Pte};
 use crate::phys::PhysicalMemory;
-use crate::proc::{retarget_region, Pid, ProcTable, SharedId};
+use crate::proc::{retarget_region, Pid, ProcCtx, ProcTable, SharedId};
 use crate::trace::{PagingEvent, PagingTrace};
 use carat_core::sign::{SignedModule, SigningKey};
 use carat_ir::Module;
 use carat_runtime::{
-    check_unpinned, perform_move_batch_journaled, perform_shared_move_journaled, AllocationTable,
-    CostModel, MemAccess, MoveOutcome, MovePhase, MoveRequest, PatchMem, Perms, PinnedRange,
-    Region, RegionTable, WorldStop, WorldStopError,
+    check_unpinned, expand_to_allocations, perform_moves, AllocationTable, CostModel, MemAccess,
+    MoveOutcome, MovePhase, MoveRequest, Perms, PinnedRange, Region, RegionTable, WorldStop,
+    WorldStopError,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Bounded retries for a move-destination allocation before surfacing
@@ -43,33 +43,20 @@ pub struct SimKernel {
     pub buddy: BuddyAllocator,
     /// MMU-notifier-style trace (Table 2 counters).
     pub trace: PagingTrace,
-    /// Baseline page table (traditional model only).
-    pub pagetable: PageTable,
-    /// CARAT region set for the (single) process.
+    /// CARAT region set for the current process, built from
+    /// `ctx.master`.
     pub regions: RegionTable,
     /// Machine cost model.
     pub cost: CostModel,
-    /// Master region list behind `regions` (kept sorted; holes punched on
-    /// moves).
-    master: Vec<Region>,
-    /// Page ranges vacated by moves, recycled as future move destinations
-    /// ("frees the data at the old location", paper §4.2). Per-process
-    /// state: this is the *current* process's list (or the solo
-    /// machine's); a context switch parks it in the outgoing
-    /// [`ProcEntry`] and installs the incoming one's.
-    vacated: Vec<(u64, u64)>,
-    /// Whole buddy blocks the current process obtained after admission
-    /// (move/page-in/stack-growth destinations); parked per process like
-    /// `vacated`, and freed on kill.
-    owned_blocks: Vec<u64>,
+    /// The current process's context (or the solo machine's): region
+    /// master list, page table, move-destination recycler, owned blocks
+    /// and swap-slot numbering. A context switch parks it in the
+    /// outgoing [`ProcEntry`](crate::ProcEntry) and installs the
+    /// incoming one's, as one value.
+    ctx: ProcCtx,
     /// Swapped-out ranges by slot id: the paper's non-canonical-address
     /// encoding of "this data is in swap" (§2.2).
     swap: HashMap<u64, SwapEntry>,
-    /// Next unissued local swap-slot ordinal and the recycled ordinals —
-    /// per-process state swapped on context switch, like `vacated`. See
-    /// [`SWAP_SLOT_STRIDE`].
-    next_swap_slot: u64,
-    free_swap_slots: BTreeSet<u64>,
     /// Externalized tenant capsules: checksummed serialized
     /// `TenantState` images parked in the pooled, size-classed capsule
     /// arena backing the simulated swap device. The checksum is
@@ -85,10 +72,6 @@ pub struct SimKernel {
     /// Injected fault schedule. `None` (the default) also disables the
     /// patch journal, so the fault-free fast path pays nothing.
     faults: Option<FaultPlan>,
-    /// Host threads applying patch plans (1 = serial). Sharding is
-    /// deterministic, so memory state and counters are identical at every
-    /// setting; see [`SimKernel::set_move_workers`].
-    move_workers: usize,
     /// Move-destination allocations that succeeded only after compaction
     /// and retry (OOM recoveries).
     pub oom_recoveries: u64,
@@ -228,22 +211,6 @@ pub struct SwapAwareMem<'a> {
     swap: &'a mut HashMap<u64, SwapEntry>,
 }
 
-impl PatchMem for SwapAwareMem<'_> {
-    fn cell_ptr(&mut self, addr: u64) -> Option<*mut u8> {
-        if addr >= POISON_BASE {
-            let slot = (addr - POISON_BASE) / POISON_SLOT_SPAN;
-            let off = ((addr - POISON_BASE) % POISON_SLOT_SPAN) as usize;
-            let e = self.swap.get_mut(&slot)?;
-            // Out-of-bounds slot offsets decline the pointer, which sends
-            // the whole plan down the serial path — matching write_u64's
-            // silent-drop semantics would otherwise need a sentinel.
-            (off + 8 <= e.data.len()).then(|| unsafe { e.data.as_mut_ptr().add(off) })
-        } else {
-            self.mem.cell_ptr(addr)
-        }
-    }
-}
-
 impl MemAccess for SwapAwareMem<'_> {
     fn read_u64(&self, addr: u64) -> u64 {
         if addr >= POISON_BASE {
@@ -304,20 +271,14 @@ impl SimKernel {
             mem: PhysicalMemory::new(mem_size),
             buddy: BuddyAllocator::new(reserved, pages, page),
             trace: PagingTrace::new(4096),
-            pagetable: PageTable::new(),
             regions: RegionTable::new(),
             cost,
-            master: Vec::new(),
-            vacated: Vec::new(),
-            owned_blocks: Vec::new(),
+            ctx: ProcCtx::default(),
             swap: HashMap::new(),
-            next_swap_slot: 0,
-            free_swap_slots: BTreeSet::new(),
             capsules: CapsuleArena::new(),
             last_touched_page: u64::MAX,
             trusted: Vec::new(),
             faults: None,
-            move_workers: 1,
             oom_recoveries: 0,
             procs: ProcTable::new(),
             dev: DeviceBay::new(),
@@ -349,19 +310,26 @@ impl SimKernel {
         self.faults.as_ref()
     }
 
-    /// Set the move engine's worker count. `n` host threads apply every
-    /// subsequent patch plan (deterministic sharding — memory state and
-    /// counters are bit-identical at every setting), and the cost model's
-    /// `patch_workers` is set to match, so modeled move cycles describe
-    /// the same machine that is actually running.
+    /// Set the *modeled* move-engine worker count: the cost model's
+    /// `patch_workers`, which shards the modeled patch scan (see
+    /// [`CostModel::patch_cost`]). The host always applies patch plans
+    /// on the calling thread; memory state and every counter except the
+    /// modeled patch cycles are independent of this setting.
     pub fn set_move_workers(&mut self, n: usize) {
-        self.move_workers = n.max(1);
-        self.cost.patch_workers = self.move_workers as u64;
+        self.cost.patch_workers = n.max(1) as u64;
     }
 
-    /// Current move-engine worker count.
-    pub fn move_workers(&self) -> usize {
-        self.move_workers
+    /// The baseline page table of the current process (traditional
+    /// model only).
+    #[inline]
+    pub fn pagetable(&self) -> &PageTable {
+        &self.ctx.pagetable
+    }
+
+    /// Mutable [`SimKernel::pagetable`].
+    #[inline]
+    pub fn pagetable_mut(&mut self) -> &mut PageTable {
+        &mut self.ctx.pagetable
     }
 
     /// Record an occurrence of `point` against the installed plan and
@@ -560,11 +528,12 @@ impl SimKernel {
     /// episode is under way.
     fn peek_swap_slot(&self) -> u64 {
         let local = self
+            .ctx
             .free_swap_slots
             .iter()
             .next()
             .copied()
-            .unwrap_or(self.next_swap_slot);
+            .unwrap_or(self.ctx.next_swap_slot);
         match self.procs.current() {
             Some(pid) => local * SWAP_SLOT_STRIDE + (pid.index() as u64) % SWAP_SLOT_STRIDE,
             None => local,
@@ -577,8 +546,8 @@ impl SimKernel {
             Some(_) => slot / SWAP_SLOT_STRIDE,
             None => slot,
         };
-        if !self.free_swap_slots.remove(&local) {
-            self.next_swap_slot = local + 1;
+        if !self.ctx.free_swap_slots.remove(&local) {
+            self.ctx.next_swap_slot = local + 1;
         }
     }
 
@@ -589,7 +558,7 @@ impl SimKernel {
     fn release_swap_slot(&mut self, slot: u64) {
         if let Some(pid) = self.procs.current() {
             if slot % SWAP_SLOT_STRIDE == (pid.index() as u64) % SWAP_SLOT_STRIDE {
-                self.free_swap_slots.insert(slot / SWAP_SLOT_STRIDE);
+                self.ctx.free_swap_slots.insert(slot / SWAP_SLOT_STRIDE);
             }
         }
     }
@@ -599,7 +568,7 @@ impl SimKernel {
     /// bookkeeping (their blocks die with the kernel).
     fn commit_dst_block(&mut self, dst: &DstAlloc) {
         if dst.from_buddy && self.procs.current().is_some() {
-            self.owned_blocks.push(dst.addr);
+            self.ctx.owned_blocks.push(dst.addr);
         }
     }
 
@@ -608,12 +577,12 @@ impl SimKernel {
     /// allocator.
     fn try_take_dst(&mut self, len: u64) -> Option<DstAlloc> {
         let page = self.cost.page_size;
-        if let Some(i) = self.vacated.iter().position(|&(_, l)| l >= len) {
-            let (start, l) = self.vacated[i];
+        if let Some(i) = self.ctx.vacated.iter().position(|&(_, l)| l >= len) {
+            let (start, l) = self.ctx.vacated[i];
             if l == len {
-                self.vacated.remove(i);
+                self.ctx.vacated.remove(i);
             } else {
-                self.vacated[i] = (start + len, l - len);
+                self.ctx.vacated[i] = (start + len, l - len);
             }
             return Some(DstAlloc {
                 addr: start,
@@ -631,12 +600,12 @@ impl SimKernel {
     /// Merge adjacent/overlapping vacated ranges so fragments freed by
     /// earlier moves can satisfy larger requests (the OOM recovery path).
     fn compact_vacated(&mut self) {
-        if self.vacated.len() < 2 {
+        if self.ctx.vacated.len() < 2 {
             return;
         }
-        self.vacated.sort_unstable_by_key(|&(start, _)| start);
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.vacated.len());
-        for &(start, len) in &self.vacated {
+        self.ctx.vacated.sort_unstable_by_key(|&(start, _)| start);
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ctx.vacated.len());
+        for &(start, len) in &self.ctx.vacated {
             match merged.last_mut() {
                 Some((ms, ml)) if *ms + *ml >= start => {
                     *ml = (*ml).max(start + len - *ms);
@@ -644,7 +613,7 @@ impl SimKernel {
                 _ => merged.push((start, len)),
             }
         }
-        self.vacated = merged;
+        self.ctx.vacated = merged;
     }
 
     /// Pick a destination for `len` bytes, with bounded recovery: on
@@ -700,7 +669,7 @@ impl SimKernel {
             let freed = self.buddy.free_pages(dst.addr);
             debug_assert!(freed.is_ok(), "releasing a live buddy block");
         } else {
-            self.vacated.push((dst.addr, dst.len));
+            self.ctx.vacated.push((dst.addr, dst.len));
         }
     }
 
@@ -752,30 +721,15 @@ impl SimKernel {
         Ok(())
     }
 
-    /// Run a journaled move inside an already-stopped world: the MidMove
-    /// fault point is consulted between the patch and copy phases; when it
-    /// fires, the journal restores a byte-identical pre-move state.
-    fn journaled_move(
+    /// Run `reqs` through the move engine inside an already-stopped
+    /// world, against every owner table in `tables` (one for a private
+    /// move, all owners' for a shared region). With a fault plan
+    /// installed the moves are journaled and the MidMove fault point is
+    /// consulted between the patch and copy phases; when it fires, the
+    /// whole batch is rolled back to a byte-identical pre-move state.
+    fn journaled_moves(
         &mut self,
-        table: &mut AllocationTable,
-        regs: &mut [u64],
-        req: MoveRequest,
-    ) -> Result<MoveOutcome, KernelError> {
-        self.journaled_move_batch(table, regs, std::slice::from_ref(&req))
-            .and_then(|mut outs| {
-                outs.pop().ok_or(KernelError::MoveInterrupted {
-                    src: req.src,
-                    len: req.len,
-                    dst: req.dst,
-                })
-            })
-    }
-
-    /// [`SimKernel::journaled_move`] over a whole batch of requests as one
-    /// transaction: a MidMove fault rolls back every request's patches.
-    fn journaled_move_batch(
-        &mut self,
-        table: &mut AllocationTable,
+        tables: &mut [&mut AllocationTable],
         regs: &mut [u64],
         reqs: &[MoveRequest],
     ) -> Result<Vec<MoveOutcome>, KernelError> {
@@ -796,18 +750,16 @@ impl SimKernel {
                     .as_mut()
                     .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
         };
-        let workers = self.move_workers;
         let mut routed = SwapAwareMem {
             mem: &mut self.mem,
             swap: &mut self.swap,
         };
-        let res = perform_move_batch_journaled(
-            table,
+        let res = perform_moves(
+            tables,
             &mut routed,
             regs,
             reqs,
             &self.cost,
-            workers,
             if journal_on { Some(&mut hook) } else { None },
         );
         self.faults = plan;
@@ -923,8 +875,8 @@ impl SimKernel {
     }
 
     fn install_image(&mut self, img: &ProcessImage) {
-        self.master = vec![img.capsule_region()];
-        self.regions.set_regions(self.master.clone());
+        self.ctx.master = vec![img.capsule_region()];
+        self.regions.set_regions(self.ctx.master.clone());
         // Initial pages (stack+data+code) are allocations at load time.
         let page = self.cost.page_size;
         for i in 0..img.initial_pages {
@@ -953,7 +905,7 @@ impl SimKernel {
     ///
     /// [`KernelError::OutOfFrames`] when the frame allocator is exhausted.
     pub fn ensure_mapped(&mut self, vpn: u64) -> Result<Pte, KernelError> {
-        if let Some(pte) = self.pagetable.translate(vpn) {
+        if let Some(pte) = self.ctx.pagetable.translate(vpn) {
             return Ok(pte);
         }
         let frame = self
@@ -964,7 +916,7 @@ impl SimKernel {
             ppn: frame / self.cost.page_size,
             writable: true,
         };
-        self.pagetable.map(vpn, pte);
+        self.ctx.pagetable.map(vpn, pte);
         self.trace.record(PagingEvent::Alloc { page: vpn });
         Ok(pte)
     }
@@ -974,9 +926,9 @@ impl SimKernel {
     /// must already lie within the capsule.
     pub fn change_protection(&mut self, start: u64, len: u64, perms: Perms) {
         self.punch_hole(start, start + len);
-        self.master.push(Region { start, len, perms });
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.ctx.master.push(Region { start, len, perms });
+        self.ctx.master.sort_by_key(|r| r.start);
+        self.regions.set_regions(self.ctx.master.clone());
         self.trace.record(PagingEvent::Invalidate {
             first: start / self.cost.page_size,
             count: len.div_ceil(self.cost.page_size),
@@ -984,8 +936,8 @@ impl SimKernel {
     }
 
     fn punch_hole(&mut self, lo: u64, hi: u64) {
-        let mut next = Vec::with_capacity(self.master.len() + 2);
-        for r in self.master.drain(..) {
+        let mut next = Vec::with_capacity(self.ctx.master.len() + 2);
+        for r in self.ctx.master.drain(..) {
             let (rs, re) = (r.start, r.end());
             if re <= lo || rs >= hi {
                 next.push(r);
@@ -1006,7 +958,7 @@ impl SimKernel {
                 });
             }
         }
-        self.master = next;
+        self.ctx.master = next;
     }
 
     /// The worst-case page to move: the page-aligned address overlapping
@@ -1332,8 +1284,7 @@ impl SimKernel {
         let mut expanded: Vec<(u64, u64)> = Vec::with_capacity(moves.len());
         for &(src, pages) in moves {
             let len = pages * page;
-            let (xsrc, xlen) =
-                carat_runtime::expand_to_allocations(table, src / page * page, len, page);
+            let (xsrc, xlen) = expand_to_allocations(&[&*table], src / page * page, len, page);
             if expanded
                 .iter()
                 .any(|&(s, l)| xsrc < s + l && s < xsrc + xlen)
@@ -1357,11 +1308,11 @@ impl SimKernel {
         // lands in it. On failure nothing has been patched yet: restoring
         // the vacated list and freeing the buddy blocks is the whole
         // rollback.
-        let vacated_before = self.vacated.clone();
+        let vacated_before = self.ctx.vacated.clone();
         let mut dsts: Vec<(DstAlloc, u64)> = Vec::with_capacity(expanded.len());
         let mut accepted: Vec<(u64, u64)> = Vec::with_capacity(expanded.len());
         let release_all = |k: &mut Self, dsts: Vec<(DstAlloc, u64)>| {
-            k.vacated = vacated_before.clone();
+            k.ctx.vacated = vacated_before.clone();
             for (d, _) in dsts {
                 if d.from_buddy {
                     let freed = k.buddy.free_pages(d.addr);
@@ -1380,7 +1331,7 @@ impl SimKernel {
                 Ok(d) => {
                     dsts.push(d);
                     accepted.push((xsrc, xlen));
-                    self.vacated.push((xsrc, xlen));
+                    self.ctx.vacated.push((xsrc, xlen));
                 }
                 Err(e) => alloc_err = Some(e),
             }
@@ -1415,7 +1366,7 @@ impl SimKernel {
                 dst: d.addr,
             })
             .collect();
-        let mut outcomes = match self.journaled_move_batch(table, regs, &reqs) {
+        let mut outcomes = match self.journaled_moves(&mut [table], regs, &reqs) {
             Ok(outs) => outs,
             Err(e) => {
                 world.abort(&self.cost);
@@ -1437,7 +1388,7 @@ impl SimKernel {
         // rebuild covers the whole batch.
         for outcome in &outcomes {
             self.punch_hole(outcome.moved_src, outcome.moved_src + outcome.moved_len);
-            self.master.push(Region {
+            self.ctx.master.push(Region {
                 start: outcome.moved_dst,
                 len: outcome.moved_len,
                 perms: Perms::RW,
@@ -1449,8 +1400,8 @@ impl SimKernel {
                 });
             }
         }
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.ctx.master.sort_by_key(|r| r.start);
+        self.regions.set_regions(self.ctx.master.clone());
         Ok((world, outcomes))
     }
 
@@ -1478,7 +1429,7 @@ impl SimKernel {
         threads: usize,
     ) -> Result<Option<(WorldStop, u64, u64, u64)>, KernelError> {
         let pg = self.cost.page_size;
-        let (src, len) = carat_runtime::expand_to_allocations(table, page / pg * pg, pg, pg);
+        let (src, len) = expand_to_allocations(&[&*table], page / pg * pg, pg, pg);
         if len > POISON_SLOT_SPAN || Self::is_poison(src) {
             return Ok(None);
         }
@@ -1525,9 +1476,9 @@ impl SimKernel {
             table.relocate(start, delta);
         }
         self.swap.insert(slot, SwapEntry { len, data });
-        self.vacated.push((src, len));
+        self.ctx.vacated.push((src, len));
         self.punch_hole(src, src + len);
-        self.regions.set_regions(self.master.clone());
+        self.regions.set_regions(self.ctx.master.clone());
         self.trace.record(PagingEvent::Invalidate {
             first: src / pg,
             count: len / pg,
@@ -1645,13 +1596,13 @@ impl SimKernel {
             table.relocate(start, delta);
         }
         self.punch_hole(dst, dst + entry.len);
-        self.master.push(Region {
+        self.ctx.master.push(Region {
             start: dst,
             len: entry.len,
             perms: Perms::RW,
         });
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.ctx.master.sort_by_key(|r| r.start);
+        self.regions.set_regions(self.ctx.master.clone());
         let pg = self.cost.page_size;
         for p in 0..entry.len / pg {
             self.trace.record(PagingEvent::Alloc { page: dst / pg + p });
@@ -1718,8 +1669,9 @@ impl SimKernel {
             len: old_len,
             dst: data_dst,
         };
-        let outcome = match self.journaled_move(table, regs, req) {
-            Ok(out) => out,
+        let outcome = match self.journaled_moves(&mut [table], regs, &[req]) {
+            // One request, one outcome.
+            Ok(mut outs) => outs.remove(0),
             Err(e) => {
                 world.abort(&self.cost);
                 self.release_move_dst(dst);
@@ -1743,16 +1695,18 @@ impl SimKernel {
 
         // Regions: the old stack range is vacated; the new block (all of
         // it, including the fresh growth room) becomes the stack region.
-        self.vacated.push((outcome.moved_src, outcome.moved_len));
+        self.ctx
+            .vacated
+            .push((outcome.moved_src, outcome.moved_len));
         self.punch_hole(outcome.moved_src, outcome.moved_src + outcome.moved_len);
         self.punch_hole(dst_block, dst_block + new_len);
-        self.master.push(Region {
+        self.ctx.master.push(Region {
             start: dst_block,
             len: new_len,
             perms: Perms::RW,
         });
-        self.master.sort_by_key(|r| r.start);
-        self.regions.set_regions(self.master.clone());
+        self.ctx.master.sort_by_key(|r| r.start);
+        self.regions.set_regions(self.ctx.master.clone());
         self.trace.record(PagingEvent::Move {
             from: old_start / self.cost.page_size,
             to: data_dst / self.cost.page_size,
@@ -1793,14 +1747,14 @@ impl SimKernel {
         name: &str,
         image: ProcessImage,
     ) -> Result<Pid, crate::proc::AdmissionError> {
-        let regions = std::mem::take(&mut self.master);
-        let pagetable = std::mem::replace(&mut self.pagetable, PageTable::new());
+        let ctx = ProcCtx {
+            master: std::mem::take(&mut self.ctx.master),
+            pagetable: std::mem::take(&mut self.ctx.pagetable),
+            ..ProcCtx::default()
+        };
         self.regions.set_regions(Vec::new());
         let capsule_base = image.stack.0;
-        match self
-            .procs
-            .spawn(name.to_string(), image, regions, pagetable, None)
-        {
+        match self.procs.spawn(name.to_string(), image, ctx, None) {
             Ok(pid) => Ok(pid),
             Err(e) => {
                 // Roll the load back: the capsule is one contiguous buddy
@@ -1808,6 +1762,16 @@ impl SimKernel {
                 let _ = self.buddy.free_pages(capsule_base);
                 Err(e)
             }
+        }
+    }
+
+    /// The context of `pid`: the live one while `pid` is current, else
+    /// the one parked in its entry. `None` for a stale pid.
+    fn ctx_of(&mut self, pid: Pid) -> Option<&mut ProcCtx> {
+        if self.procs.current() == Some(pid) {
+            Some(&mut self.ctx)
+        } else {
+            self.procs.get_mut(pid).map(|e| &mut e.ctx)
         }
     }
 
@@ -1833,19 +1797,14 @@ impl SimKernel {
             return false;
         };
         if was_current {
-            // The live master list and allocator state described the
-            // victim; drop the regions and claim the per-process
-            // allocator state as the victim's so the reap below sees it.
-            self.master.clear();
+            // The live context described the victim: claim it as the
+            // victim's so the reap below sees it, leaving the kernel with
+            // an empty one.
+            entry.ctx = std::mem::take(&mut self.ctx);
             self.regions.set_regions(Vec::new());
-            self.pagetable = PageTable::new();
-            self.vacated.clear();
-            entry.owned_blocks = std::mem::take(&mut self.owned_blocks);
-            self.next_swap_slot = 0;
-            self.free_swap_slots.clear();
         }
         let _ = self.buddy.free_pages(entry.image.stack.0);
-        for base in entry.owned_blocks.drain(..) {
+        for base in entry.ctx.owned_blocks.drain(..) {
             let _ = self.buddy.free_pages(base);
         }
         // Striped swap slots carry the owner's lane in their low bits;
@@ -1886,15 +1845,10 @@ impl SimKernel {
             .alloc_pages(pages)
             .ok_or(KernelError::OutOfFrames { pages })?;
         let len = pages * self.cost.page_size;
-        if self.procs.current() == Some(pid) {
-            self.vacated.push((base, len));
-            self.owned_blocks.push(base);
-        } else {
-            // `get` above proved the entry live.
-            if let Some(e) = self.procs.get_mut(pid) {
-                e.vacated.push((base, len));
-                e.owned_blocks.push(base);
-            }
+        // `get` above proved the entry live.
+        if let Some(ctx) = self.ctx_of(pid) {
+            ctx.vacated.push((base, len));
+            ctx.owned_blocks.push(base);
         }
         Ok(())
     }
@@ -1928,24 +1882,14 @@ impl SimKernel {
             return Err(KernelError::StaleTenant { pid: to });
         }
         if let Some(e) = self.procs.current().and_then(|cur| self.procs.get_mut(cur)) {
-            e.regions = std::mem::take(&mut self.master);
-            e.pagetable = std::mem::replace(&mut self.pagetable, PageTable::new());
-            e.vacated = std::mem::take(&mut self.vacated);
-            e.owned_blocks = std::mem::take(&mut self.owned_blocks);
-            e.next_swap_slot = std::mem::take(&mut self.next_swap_slot);
-            e.free_swap_slots = std::mem::take(&mut self.free_swap_slots);
+            e.ctx = std::mem::take(&mut self.ctx);
         }
         let e = self
             .procs
             .get_mut(to)
             .ok_or(KernelError::StaleTenant { pid: to })?;
-        self.master = std::mem::take(&mut e.regions);
-        self.pagetable = std::mem::replace(&mut e.pagetable, PageTable::new());
-        self.vacated = std::mem::take(&mut e.vacated);
-        self.owned_blocks = std::mem::take(&mut e.owned_blocks);
-        self.next_swap_slot = std::mem::take(&mut e.next_swap_slot);
-        self.free_swap_slots = std::mem::take(&mut e.free_swap_slots);
-        self.regions.set_regions(self.master.clone());
+        self.ctx = std::mem::take(&mut e.ctx);
+        self.regions.set_regions(self.ctx.master.clone());
         let cycles = if traditional {
             self.cost.ctx_switch_traditional()
         } else {
@@ -1978,12 +1922,7 @@ impl SimKernel {
             return;
         };
         if let Some(e) = self.procs.get_mut(cur) {
-            e.regions = std::mem::take(&mut self.master);
-            e.pagetable = std::mem::replace(&mut self.pagetable, PageTable::new());
-            e.vacated = std::mem::take(&mut self.vacated);
-            e.owned_blocks = std::mem::take(&mut self.owned_blocks);
-            e.next_swap_slot = std::mem::take(&mut self.next_swap_slot);
-            e.free_swap_slots = std::mem::take(&mut self.free_swap_slots);
+            e.ctx = std::mem::take(&mut self.ctx);
         }
         self.regions.set_regions(Vec::new());
         self.procs.set_current(None);
@@ -2035,61 +1974,17 @@ impl SimKernel {
             len,
             perms: Perms::RW,
         };
+        let ctx = self.ctx_of(pid).ok_or(KernelError::StaleTenant { pid })?;
+        ctx.master.push(region);
+        ctx.master.sort_by_key(|r| r.start);
         if self.procs.current() == Some(pid) {
-            self.master.push(region);
-            self.master.sort_by_key(|r| r.start);
-            self.regions.set_regions(self.master.clone());
-        } else {
-            let e = self
-                .procs
-                .get_mut(pid)
-                .ok_or(KernelError::StaleTenant { pid })?;
-            e.regions.push(region);
-            e.regions.sort_by_key(|r| r.start);
+            self.regions.set_regions(self.ctx.master.clone());
         }
         let shared = self.procs.shared_mut(id);
         if !shared.owners.contains(&pid) {
             shared.owners.push(pid);
         }
         Ok(())
-    }
-
-    /// [`SimKernel::journaled_move`] across several owner tables at once
-    /// (shared-region move).
-    fn journaled_shared_move(
-        &mut self,
-        tables: &mut [&mut AllocationTable],
-        regs: &mut [u64],
-        req: MoveRequest,
-    ) -> Result<MoveOutcome, KernelError> {
-        let mut plan = self.faults.take();
-        let journal_on = plan.is_some();
-        let mut hook = |phase: MovePhase| {
-            phase == MovePhase::Patched
-                && plan
-                    .as_mut()
-                    .is_some_and(|p| p.should_fire(FaultPoint::MidMove))
-        };
-        let workers = self.move_workers;
-        let mut routed = SwapAwareMem {
-            mem: &mut self.mem,
-            swap: &mut self.swap,
-        };
-        let res = perform_shared_move_journaled(
-            tables,
-            &mut routed,
-            regs,
-            req,
-            &self.cost,
-            workers,
-            if journal_on { Some(&mut hook) } else { None },
-        );
-        self.faults = plan;
-        res.map_err(|_| KernelError::MoveInterrupted {
-            src: req.src,
-            len: req.len,
-            dst: req.dst,
-        })
     }
 
     /// Move shared block `id` to a fresh location, patching the escapes
@@ -2122,21 +2017,13 @@ impl SimKernel {
             (s.base, s.len, s.owners.clone())
         };
         // Pre-negotiate expansion across every owner so the destination
-        // is big enough (fixed point, mirroring the patch engine).
+        // is big enough (the same fixed point the patch engine reaches).
         let pg = self.cost.page_size;
-        let (mut xsrc, mut xlen) = (base, len);
-        loop {
-            let before = (xsrc, xlen);
-            for &pid in &owners {
-                if let Some(t) = self.procs.get(pid).and_then(|e| e.table.as_ref()) {
-                    let (s, l) = carat_runtime::expand_to_allocations(t, xsrc, xlen, pg);
-                    (xsrc, xlen) = (s, l);
-                }
-            }
-            if (xsrc, xlen) == before {
-                break;
-            }
-        }
+        let owner_tables: Vec<&AllocationTable> = owners
+            .iter()
+            .filter_map(|&pid| self.procs.get(pid).and_then(|e| e.table.as_ref()))
+            .collect();
+        let (xsrc, xlen) = expand_to_allocations(&owner_tables, base, len, pg);
         // Shared regions are the natural DMA-buffer vehicle, so this is
         // the mover most likely to meet a pin. Refuse before allocating.
         if let Err(e) = check_unpinned(xsrc, xlen, &self.pins) {
@@ -2179,13 +2066,13 @@ impl SimKernel {
         };
         let res = {
             let mut refs: Vec<&mut AllocationTable> = tables.iter_mut().collect();
-            self.journaled_shared_move(&mut refs, regs, req)
+            self.journaled_moves(&mut refs, regs, &[req])
         };
         for (&p, t) in owners.iter().zip(tables) {
             self.procs.checkin_table(p, t);
         }
         let mut outcome = match res {
-            Ok(out) => out,
+            Ok(mut outs) => outs.remove(0),
             Err(e) => {
                 world.abort(&self.cost);
                 self.release_move_dst(dst);
@@ -2199,23 +2086,20 @@ impl SimKernel {
         // Region maintenance, for every owner: the moved range leaves its
         // map; the destination enters it. The current process's map is the
         // live master list.
-        self.vacated.push((outcome.moved_src, outcome.moved_len));
+        self.ctx
+            .vacated
+            .push((outcome.moved_src, outcome.moved_len));
         for &pid in &owners {
+            if let Some(ctx) = self.ctx_of(pid) {
+                retarget_region(
+                    &mut ctx.master,
+                    outcome.moved_src,
+                    outcome.moved_len,
+                    outcome.moved_dst,
+                );
+            }
             if self.procs.current() == Some(pid) {
-                retarget_region(
-                    &mut self.master,
-                    outcome.moved_src,
-                    outcome.moved_len,
-                    outcome.moved_dst,
-                );
-                self.regions.set_regions(self.master.clone());
-            } else if let Some(e) = self.procs.get_mut(pid) {
-                retarget_region(
-                    &mut e.regions,
-                    outcome.moved_src,
-                    outcome.moved_len,
-                    outcome.moved_dst,
-                );
+                self.regions.set_regions(self.ctx.master.clone());
             }
         }
         for p in 0..outcome.moved_len / pg {
@@ -2341,7 +2225,7 @@ mod tests {
         let pte2 = k.ensure_mapped(0x4000).unwrap();
         assert_eq!(pte1, pte2, "second touch reuses the mapping");
         assert_eq!(k.trace.allocs, before + 1);
-        assert_eq!(k.pagetable.mapped, 1);
+        assert_eq!(k.pagetable().mapped, 1);
     }
 
     /// Boot two tenants through one kernel; returns their tables checked
@@ -2471,6 +2355,56 @@ mod tests {
             let t = k.procs.get(pid).unwrap().table.as_ref().unwrap();
             assert!(t.info(new_base).is_some());
             assert!(t.info(base).is_none());
+        }
+    }
+
+    #[test]
+    fn reserving_a_pool_for_a_current_or_parked_proc_is_the_same() {
+        let run = |parked: bool| {
+            let (mut k, p0, p1, _, _) = boot_two_procs();
+            k.proc_switch(p0, false).expect("live pid");
+            if parked {
+                k.proc_switch(p1, false).expect("live pid");
+            }
+            k.proc_reserve_pool(p0, 8).expect("frames available");
+            k.proc_switch(p0, false).expect("live pid");
+            assert!(k.ctx.vacated.contains(&(k.ctx.owned_blocks[0], 8 * 4096)));
+            let regions = k.regions.regions().to_vec();
+            (std::mem::take(&mut k.ctx), regions, k.buddy.pages_free())
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn killing_a_current_or_parked_proc_returns_every_frame() {
+        for parked in [false, true] {
+            let mut k = SimKernel::new(64 * 1024 * 1024);
+            let free_before = k.buddy.pages_free();
+            let mut t = AllocationTable::new();
+            let cfg = LoadConfig {
+                stack_size: 64 * 1024,
+                heap_size: 1024 * 1024,
+                page_size: 4096,
+            };
+            let img = k
+                .load_unsigned(module_with_global(), &mut t, cfg)
+                .expect("loads");
+            let pid = k.register_proc("victim", img.clone()).expect("admitted");
+            k.proc_switch(pid, false).expect("live pid");
+            // A move destination from the buddy, then a reserved pool:
+            // two kinds of owned block on top of the capsule.
+            k.move_pages(&mut t, &mut [], img.heap.0, 1, 1)
+                .expect("moves");
+            k.procs.checkin_table(pid, t);
+            k.proc_reserve_pool(pid, 8).expect("frames available");
+            assert_eq!(k.ctx.owned_blocks.len(), 2);
+            if parked {
+                k.proc_park();
+            }
+            assert!(k.proc_kill(pid));
+            assert_eq!(k.buddy.pages_free(), free_before, "parked: {parked}");
+            assert_eq!(k.regions.len(), 0, "parked: {parked}");
+            assert_eq!(k.ctx, ProcCtx::default(), "parked: {parked}");
         }
     }
 

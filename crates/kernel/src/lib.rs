@@ -32,6 +32,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arena;
@@ -60,7 +61,7 @@ pub use loader::{
 pub use pagetable::{PageTable, Pte, Walk};
 pub use phys::PhysicalMemory;
 pub use proc::{
-    AdmissionError, Pid, ProcAccounting, ProcEntry, ProcState, ProcTable, ProtectionFault,
+    AdmissionError, Pid, ProcAccounting, ProcCtx, ProcEntry, ProcState, ProcTable, ProtectionFault,
     SharedId, SharedRegion, TenantQuotas,
 };
 pub use trace::{PagingEvent, PagingTrace};

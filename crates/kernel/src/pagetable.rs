@@ -14,14 +14,14 @@ pub struct Pte {
 }
 
 /// x64-style 4-level radix table, 9 bits per level, 4KiB pages.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub struct PageTable {
     root: Node,
     /// Live (valid) mappings.
     pub mapped: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct Node {
     children: carat_runtime::FastMap<u16, Box<Node>>,
     entries: carat_runtime::FastMap<u16, Pte>,

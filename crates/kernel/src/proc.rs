@@ -36,6 +36,7 @@
 use crate::loader::ProcessImage;
 use crate::pagetable::PageTable;
 use carat_runtime::{AllocationTable, Perms, Region};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -257,6 +258,37 @@ pub struct ProcAccounting {
     pub preempt_latency_cycles: u64,
 }
 
+/// A process's address-space state in the kernel: everything a context
+/// switch installs or parks. Live in the kernel while the process is
+/// current (the solo machine uses the same live context), parked in its
+/// [`ProcEntry`] otherwise, so a switch moves one value.
+#[derive(Debug, Default, PartialEq)]
+pub struct ProcCtx {
+    /// Guard-region master list, kept sorted (holes punched on moves).
+    /// The kernel's live `RegionTable` is rebuilt from it on install.
+    pub master: Vec<Region>,
+    /// Baseline page table (traditional mode).
+    pub pagetable: PageTable,
+    /// Move-destination recycler: page ranges this process's moves
+    /// vacated ("frees the data at the old location", paper §4.2),
+    /// reused for its future move destinations. Per-process so one
+    /// tenant's churn never changes another's placement — and so a dead
+    /// tenant's fragments cannot alias frames the buddy has already
+    /// re-issued.
+    pub vacated: Vec<(u64, u64)>,
+    /// Base addresses of whole buddy blocks this process obtained after
+    /// admission (move/page-in/stack-growth destinations and reserved
+    /// pools). Freed back to the buddy when the process is killed — the
+    /// reap half of supervision.
+    pub owned_blocks: Vec<u64>,
+    /// Next unissued local swap-slot ordinal (per-process, so one
+    /// tenant's page-outs never renumber another's poison addresses).
+    pub next_swap_slot: u64,
+    /// Recycled local swap-slot ordinals (freed by page-ins), reissued
+    /// lowest-first so slot assignment stays deterministic.
+    pub free_swap_slots: BTreeSet<u64>,
+}
+
 /// One process's kernel-side record.
 #[derive(Debug)]
 pub struct ProcEntry {
@@ -272,35 +304,14 @@ pub struct ProcEntry {
     /// The *live* image (globals patched by moves, stack rebased) travels
     /// with the VM; this copy is the admission-time snapshot.
     pub image: ProcessImage,
-    /// Guard-region map while descheduled. Taken (left empty) while this
-    /// process is current: the live copy is the kernel's master list.
-    pub regions: Vec<Region>,
-    /// Baseline page table while descheduled (traditional mode); swapped
-    /// with the kernel's live one on context switch.
-    pub pagetable: PageTable,
+    /// Address-space context while descheduled. Taken (left empty)
+    /// while this process is current: the live copy is the kernel's.
+    pub ctx: ProcCtx,
     /// The runtime allocation table, parked here while descheduled.
     /// `None` while the scheduler has it checked out into the running VM.
     pub table: Option<AllocationTable>,
     /// Scheduling/fault accounting.
     pub accounting: ProcAccounting,
-    /// Move-destination recycler while descheduled: page ranges this
-    /// process's moves vacated, reused for its future move destinations.
-    /// Per-process (swapped with the kernel's live list on context
-    /// switch) so one tenant's churn never changes another's placement —
-    /// and so a dead tenant's fragments cannot alias frames the buddy
-    /// has already re-issued.
-    pub vacated: Vec<(u64, u64)>,
-    /// Base addresses of whole buddy blocks this process obtained after
-    /// admission (move/page-in/stack-growth destinations). Freed back to
-    /// the buddy when the process is killed — the reap half of
-    /// supervision.
-    pub owned_blocks: Vec<u64>,
-    /// Next unissued local swap-slot ordinal (per-process, so one
-    /// tenant's page-outs never renumber another's poison addresses).
-    pub next_swap_slot: u64,
-    /// Recycled local swap-slot ordinals (freed by page-ins), reissued
-    /// lowest-first so slot assignment stays deterministic.
-    pub free_swap_slots: std::collections::BTreeSet<u64>,
 }
 
 /// A page-aligned block mapped into several processes' region sets.
@@ -506,8 +517,7 @@ impl ProcTable {
         &mut self,
         name: String,
         image: ProcessImage,
-        regions: Vec<Region>,
-        pagetable: PageTable,
+        ctx: ProcCtx,
         table: Option<AllocationTable>,
     ) -> Result<Pid, AdmissionError> {
         let bytes = image.capsule_region().len;
@@ -526,14 +536,9 @@ impl ProcTable {
             name,
             state: ProcState::Runnable,
             image,
-            regions,
-            pagetable,
+            ctx,
             table,
             accounting: ProcAccounting::default(),
-            vacated: Vec::new(),
-            owned_blocks: Vec::new(),
-            next_swap_slot: 0,
-            free_swap_slots: std::collections::BTreeSet::new(),
         });
         self.live += 1;
         self.resident += bytes;
@@ -815,8 +820,7 @@ mod tests {
         t.spawn(
             name.to_string(),
             crate::loader::ProcessImage::empty_for_tests(),
-            Vec::new(),
-            PageTable::new(),
+            ProcCtx::default(),
             Some(AllocationTable::new()),
         )
         .expect("within quota")
@@ -924,8 +928,7 @@ mod tests {
             .spawn(
                 "c".into(),
                 crate::loader::ProcessImage::empty_for_tests(),
-                Vec::new(),
-                PageTable::new(),
+                ProcCtx::default(),
                 None,
             )
             .unwrap_err();
@@ -944,8 +947,7 @@ mod tests {
             .spawn(
                 "b".into(),
                 crate::loader::ProcessImage::empty_for_tests(),
-                Vec::new(),
-                PageTable::new(),
+                ProcCtx::default(),
                 None,
             )
             .unwrap_err();

@@ -88,7 +88,8 @@ pub struct CostModel {
     pub move_copy_per_byte_milli: u64,
     /// Cores the modeled machine dedicates to the patch scan (the paper
     /// notes patching is embarrassingly parallel across allocations).
-    /// 1 = the serial protocol; see [`CostModel::patch_cost`].
+    /// 1 = the serial protocol; see [`CostModel::patch_cost`]. A modeled
+    /// figure only: the host applies patch plans on one thread.
     pub patch_workers: u64,
     /// Fork/join synchronization charge per patch worker: dispatching a
     /// shard to a core and joining it at the patch barrier.
@@ -230,8 +231,8 @@ impl CostModel {
     /// `ceil(serial / W) + W * patch_fork_join_per_worker`.
     ///
     /// A pure function of the plan size and this model — never of host
-    /// thread count, scheduling, or timing — so modeled cycles are
-    /// identical across hosts and across host worker counts.
+    /// scheduling or timing — so modeled cycles are identical across
+    /// hosts.
     pub fn patch_cost(&self, escapes: u64) -> u64 {
         let serial = escapes * self.move_patch_per_escape;
         let w = self.patch_workers.max(1);

@@ -187,10 +187,10 @@ pub struct VmConfig {
     /// `Some(FaultPlan::new())` arms nothing but enables the journaled
     /// (crash-consistent) move path, for measuring its overhead.
     pub fault_plan: Option<FaultPlan>,
-    /// Host threads the kernel's move engine shards patch plans across
-    /// (1 = serial). Guest-visible state and counters are bit-identical
-    /// at every setting; modeled move cycles follow the cost model's
-    /// matching `patch_workers` (see [`SimKernel::set_move_workers`]).
+    /// Modeled move-engine worker count: the cost model's
+    /// `patch_workers` (see [`SimKernel::set_move_workers`]). Only the
+    /// modeled patch cycles depend on it; the host applies every patch
+    /// plan on one thread.
     pub move_workers: usize,
     /// Threaded-tier transform toggles (only read by [`Engine::Threaded`];
     /// both on by default, the ablation rows of the guard-opts table turn
@@ -2903,8 +2903,8 @@ fn data_access_resolved(
             counters.translation_cycles += extra;
             counters.cycles += extra;
             // Demand fault on first touch (identity-mapped).
-            if kernel.pagetable.translate(vpn).is_none() {
-                kernel.pagetable.map(
+            if kernel.pagetable().translate(vpn).is_none() {
+                kernel.pagetable_mut().map(
                     vpn,
                     carat_kernel::Pte {
                         ppn: vpn,

@@ -103,8 +103,8 @@ pub struct MultiVmConfig {
     /// victim list as sequential per-move stops — the slower arm of the
     /// batching differential.
     pub batch_stops: bool,
-    /// Host threads for the shared kernel's move engine (1 = serial);
-    /// see [`SimKernel::set_move_workers`].
+    /// Modeled move-engine worker count of the shared kernel (the cost
+    /// model's `patch_workers`); see [`SimKernel::set_move_workers`].
     pub move_workers: usize,
     /// Admission quotas for the fleet (default unlimited): spawns past
     /// the tenant-count or resident-byte ceiling fail with a typed
