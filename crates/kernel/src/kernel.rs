@@ -966,15 +966,14 @@ impl SimKernel {
     pub fn worst_page(&self, table: &AllocationTable) -> Option<u64> {
         let page = self.cost.page_size;
         table
-            .snapshot()
-            .into_iter()
-            // Swapped-out (poison-resident) allocations cannot be moved,
-            // and pinned DMA targets must not be: plan around both.
-            .filter(|&(start, len, _, _)| {
-                !Self::is_poison(start) && check_unpinned(start, len, &self.pins).is_ok()
-            })
-            .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
-            .map(|(start, _, _, _)| start / page * page)
+            .most_escaped(|start, len| self.movable(start, len))
+            .map(|start| start / page * page)
+    }
+
+    /// Swapped-out (poison-resident) allocations cannot be moved, and
+    /// pinned DMA targets must not be: victim selection plans around both.
+    fn movable(&self, start: u64, len: u64) -> bool {
+        !Self::is_poison(start) && check_unpinned(start, len, &self.pins).is_ok()
     }
 
     /// The move planner's victim list: up to `max` page-aligned addresses
@@ -982,32 +981,32 @@ impl SimKernel {
     /// the batch fed to [`SimKernel::move_pages_batch`] so several
     /// compaction victims share one world-stop.
     ///
+    /// A page ranks by its worst allocation's `(escapes_live, start)`, so
+    /// ties break toward the higher start address and
     /// `worst_pages(table, 1)` always agrees with
-    /// [`SimKernel::worst_page`]: ties are broken toward the higher start
-    /// address, matching `max_by_key`'s last-maximum semantics over the
-    /// table's ascending iteration order.
+    /// [`SimKernel::worst_page`]. One pass over the table, keeping the
+    /// `max` best pages so far.
     pub fn worst_pages(&self, table: &AllocationTable, max: usize) -> Vec<u64> {
         let page = self.cost.page_size;
-        let mut victims: Vec<(usize, u64)> = table
-            .snapshot()
-            .into_iter()
-            .filter(|&(start, len, _, _)| {
-                !Self::is_poison(start) && check_unpinned(start, len, &self.pins).is_ok()
-            })
-            .map(|(start, _, escapes_live, _)| (escapes_live, start))
-            .collect();
-        victims.sort_unstable_by(|a, b| b.cmp(a));
-        let mut out: Vec<u64> = Vec::new();
-        for (_, start) in victims {
+        let mut best: Vec<((usize, u64), u64)> = Vec::with_capacity(max);
+        for (start, info) in table.iter_unordered() {
+            if !self.movable(start, info.len) {
+                continue;
+            }
+            let rank = (info.escapes.len(), start);
             let p = start / page * page;
-            if !out.contains(&p) {
-                out.push(p);
-                if out.len() == max {
-                    break;
-                }
+            if let Some(seen) = best.iter_mut().find(|b| b.1 == p) {
+                seen.0 = seen.0.max(rank);
+            } else if best.len() < max {
+                best.push((rank, p));
+            } else if let Some(last) = best.iter_mut().min().filter(|b| b.0 < rank) {
+                // A page only ever ranks higher later, so an evicted page
+                // can never have belonged in the final list.
+                *last = (rank, p);
             }
         }
-        out
+        best.sort_unstable_by(|a, b| b.cmp(a));
+        best.into_iter().map(|(_, p)| p).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1471,10 +1470,7 @@ impl SimKernel {
         }
         // Copy out, rebase tracking to the poison range, free the frames.
         let data = self.mem.read_bytes(src, len).to_vec();
-        table.rebase_escape_cells(src, src + len, delta);
-        for start in table.overlapping(src, src + len) {
-            table.relocate(start, delta);
-        }
+        table.move_range(src, src + len, delta);
         self.swap.insert(slot, SwapEntry { len, data });
         self.ctx.vacated.push((src, len));
         self.punch_hole(src, src + len);
@@ -1591,10 +1587,7 @@ impl SimKernel {
                 *r = r.wrapping_add(delta as u64);
             }
         }
-        table.rebase_escape_cells(poison, poison + entry.len, delta);
-        for start in table.overlapping(poison, poison + entry.len) {
-            table.relocate(start, delta);
-        }
+        table.move_range(poison, poison + entry.len, delta);
         self.punch_hole(dst, dst + entry.len);
         self.ctx.master.push(Region {
             start: dst,
@@ -1683,15 +1676,7 @@ impl SimKernel {
 
         // Extend the relocated stack allocation downward over the whole
         // new block.
-        if let Some(info) = table.track_free(outcome.moved_dst) {
-            table.track_alloc(dst_block, new_len, carat_runtime::AllocKind::Stack);
-            table.adopt_escapes(dst_block, info.escapes, info.escapes_ever);
-            // track_free recorded a death; neutralize the histogram entry
-            // since the allocation logically lives on.
-            if let Some(h) = table.stats.escape_histogram.get_mut(&info.escapes_ever) {
-                *h = h.saturating_sub(1);
-            }
-        }
+        table.extend(outcome.moved_dst, dst_block, new_len);
 
         // Regions: the old stack range is vacated; the new block (all of
         // it, including the fresh growth room) becomes the stack region.
@@ -2178,6 +2163,40 @@ mod tests {
             "write now denied"
         );
         assert_eq!(k.trace.invalidations, 1);
+    }
+
+    /// Growing a stack keeps its escape cells bound to it, so rebinding
+    /// one afterwards takes it off the stack's list.
+    #[test]
+    fn expanded_stack_escape_rebinds_cleanly() {
+        let (mut k, mut table, mut img) = boot();
+        let (stack, stack_len) = img.stack;
+        let g = img.globals[0];
+        let (c1, c2) = (img.heap.0 + 64, img.heap.0 + 72);
+        for cell in [c1, c2] {
+            k.mem.write_uint(cell, stack + stack_len - 16, 8);
+            table.track_escape(cell);
+        }
+        table.flush_escapes(|c| k.mem.read_uint(c, 8));
+        let (_, outcome) = k
+            .expand_stack(&mut table, &mut [], &mut img, 1, stack_len * 4)
+            .expect("grows")
+            .expect("below the cap");
+        assert_eq!(outcome.escapes_patched, 2);
+        let (new_stack, new_len) = img.stack;
+        assert_eq!(new_len, stack_len * 2);
+        let grown = table.info(new_stack).expect("stack keyed at its new block");
+        assert_eq!((grown.len, grown.escapes.len()), (new_len, 2));
+
+        // c1 now points at a global instead.
+        k.mem.write_uint(c1, g, 8);
+        table.track_escape(c1);
+        table.flush_escapes(|c| k.mem.read_uint(c, 8));
+        let grown = table.info(new_stack).unwrap();
+        assert!(!grown.escapes.contains(&c1), "c1 left the stack's list");
+        assert_eq!(grown.escapes.len(), 1);
+        assert!(table.info(g).unwrap().escapes.contains(&c1));
+        assert_eq!(table.live_escapes(), 2);
     }
 
     #[test]

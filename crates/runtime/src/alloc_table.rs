@@ -1,13 +1,21 @@
 //! The Allocation Table and Allocation-to-Escape Map (paper §4.2).
 //!
 //! The runtime's hard-state: every live allocation (static, stack, heap),
-//! keyed by start address in a red/black tree, each carrying the set of
+//! keyed by start address in a red/black tree, each carrying the list of
 //! memory cells that hold a pointer into it (its *escapes*). Escapes are
 //! registered in batches, as in the prototype ("we use the first method
 //! when tracking allocations, and the second when tracking the escapes").
+//!
+//! Each allocation holds a stable slab id for its lifetime (freed ids are
+//! reused). The tree maps a start address to the id, the slab holds the
+//! metadata and an unordered escape list, and the reverse map names each
+//! escape cell's owner id and the cell's index in that list. A move thus
+//! re-keys one tree node per moved allocation and rewrites each moved
+//! cell in place; no escape list is rebuilt.
 
-use crate::fast_hash::{FastMap, FastSet};
+use crate::fast_hash::FastMap;
 use crate::rbtree::RbTree;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Where an allocation came from.
@@ -29,8 +37,9 @@ pub struct AllocInfo {
     /// Origin.
     pub kind: AllocKind,
     /// Addresses of cells currently holding a pointer into this
-    /// allocation — the Allocation-to-Escape Map entry.
-    pub escapes: FastSet<u64>,
+    /// allocation — the Allocation-to-Escape Map entry. Unordered: the
+    /// reverse map records each cell's index here.
+    pub escapes: Vec<u64>,
     /// Escapes ever recorded against this allocation (Figure 5 histogram
     /// counts total escapes over the program run, not just live ones).
     pub escapes_ever: u64,
@@ -54,20 +63,35 @@ pub struct TrackStats {
     pub escape_histogram: HashMap<u64, u64>,
 }
 
+/// Bytes charged per reverse-map slot by
+/// [`AllocationTable::memory_overhead_bytes`]: key, value and one word of
+/// hash-table overhead.
+const REVERSE_SLOT_BYTES: usize =
+    std::mem::size_of::<u64>() + std::mem::size_of::<(u32, u32)>() + std::mem::size_of::<usize>();
+
 /// The allocation table.
 #[derive(Debug, Default)]
 pub struct AllocationTable {
-    tree: RbTree<u64, AllocInfo>,
-    /// Reverse map: escape cell address → allocation start it points into.
-    escape_owner: FastMap<u64, u64>,
+    /// Start address → slab id.
+    tree: RbTree<u64, u32>,
+    /// Slab id → metadata. A freed id's slot stays, emptied, until reused.
+    slab: Vec<AllocInfo>,
+    /// Freed slab ids, reused before the slab grows.
+    free_ids: Vec<u32>,
+    /// Reverse map: escape cell → (owner's slab id, index in its list).
+    escape_owner: FastMap<u64, (u32, u32)>,
     /// Batched escapes not yet resolved.
     pending: Vec<u64>,
-    /// Σ capacity bytes of all live escape sets, maintained incrementally
-    /// (sets only ever grow or are dropped whole) so the Figure 6 overhead
+    /// Σ capacity bytes of all live escape lists, maintained incrementally
+    /// (lists only ever grow or are dropped whole) so the Figure 6 overhead
     /// query is O(1) instead of a walk over every live allocation.
-    escape_set_bytes: usize,
+    escape_list_bytes: usize,
     /// Statistics.
     pub stats: TrackStats,
+}
+
+fn list_bytes(list: &Vec<u64>) -> usize {
+    list.capacity() * std::mem::size_of::<u64>()
 }
 
 impl AllocationTable {
@@ -84,21 +108,27 @@ impl AllocationTable {
     /// Register a new allocation.
     ///
     /// Overlapping registrations indicate a substrate bug; the new entry
-    /// replaces any entry at the identical start address.
+    /// replaces any entry at the identical start address, and the
+    /// replaced entry's escapes are dropped.
     pub fn track_alloc(&mut self, start: u64, len: u64, kind: AllocKind) {
         self.stats.allocs += 1;
-        let replaced = self.tree.insert(
-            start,
-            AllocInfo {
-                len,
-                kind,
-                escapes: FastSet::default(),
-                escapes_ever: 0,
-            },
-        );
-        if let Some(old) = replaced {
-            self.escape_set_bytes -= old.escapes.capacity() * std::mem::size_of::<u64>();
-        }
+        let info = AllocInfo {
+            len,
+            kind,
+            escapes: Vec::new(),
+            escapes_ever: 0,
+        };
+        let id = match self.free_ids.pop() {
+            Some(id) => {
+                self.slab[id as usize] = info;
+                id
+            }
+            None => {
+                self.slab.push(info);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.insert_key(start, id);
         self.stats.max_live = self.stats.max_live.max(self.tree.len());
     }
 
@@ -106,12 +136,9 @@ impl AllocationTable {
     /// escape count in the lifetime histogram and drops its escape cells
     /// from the reverse map.
     pub fn track_free(&mut self, start: u64) -> Option<AllocInfo> {
-        let info = self.tree.remove(&start)?;
-        self.escape_set_bytes -= info.escapes.capacity() * std::mem::size_of::<u64>();
+        let id = self.tree.remove(&start)?;
+        let info = self.release(id);
         self.stats.frees += 1;
-        for e in &info.escapes {
-            self.escape_owner.remove(e);
-        }
         *self
             .stats
             .escape_histogram
@@ -120,10 +147,56 @@ impl AllocationTable {
         Some(info)
     }
 
+    /// Key slab id `id` at `start`; an entry already there is replaced
+    /// and released.
+    fn insert_key(&mut self, start: u64, id: u32) {
+        if let Some(replaced) = self.tree.insert(start, id) {
+            self.release(replaced);
+        }
+    }
+
+    /// Retire slab id `id`, whose tree key is already gone: unmap its
+    /// escape cells and queue the id for reuse.
+    fn release(&mut self, id: u32) -> AllocInfo {
+        let emptied = AllocInfo {
+            len: 0,
+            kind: AllocKind::Heap,
+            escapes: Vec::new(),
+            escapes_ever: 0,
+        };
+        let info = std::mem::replace(&mut self.slab[id as usize], emptied);
+        self.escape_list_bytes -= list_bytes(&info.escapes);
+        for cell in &info.escapes {
+            self.escape_owner.remove(cell);
+        }
+        self.free_ids.push(id);
+        info
+    }
+
+    /// Drop index `pos` of slab id `id`'s escape list (the cell's reverse
+    /// entry is already gone or re-pointed): swap-remove it and fix the
+    /// index of the cell that took its place.
+    fn unlist(&mut self, id: u32, pos: u32) {
+        let list = &mut self.slab[id as usize].escapes;
+        list.swap_remove(pos as usize);
+        if let Some(&moved) = list.get(pos as usize) {
+            self.escape_owner
+                .get_mut(&moved)
+                .expect("a listed cell is mapped")
+                .1 = pos;
+        }
+    }
+
+    /// Start and slab id of the allocation containing `addr`, if any.
+    fn containing(&self, addr: u64) -> Option<(u64, u32)> {
+        let (&start, &id) = self.tree.floor(&addr)?;
+        (addr < start + self.slab[id as usize].len).then_some((start, id))
+    }
+
     /// The allocation containing `addr`, if any.
     pub fn find_containing(&self, addr: u64) -> Option<(u64, &AllocInfo)> {
-        let (&start, info) = self.tree.floor(&addr)?;
-        (addr < start + info.len).then_some((start, info))
+        self.containing(addr)
+            .map(|(start, id)| (start, &self.slab[id as usize]))
     }
 
     /// Queue an escape event: a pointer was stored at cell `dst`.
@@ -147,43 +220,55 @@ impl AllocationTable {
         let pending = std::mem::take(&mut self.pending);
         let mut resolved = 0;
         for cell in pending {
-            // Remove a previous binding of this cell.
-            if let Some(prev_start) = self.escape_owner.remove(&cell) {
-                if let Some(info) = self.tree.get_mut(&prev_start) {
-                    let cap_before = info.escapes.capacity();
-                    info.escapes.remove(&cell);
-                    self.escape_set_bytes += info.escapes.capacity() * std::mem::size_of::<u64>();
-                    self.escape_set_bytes -= cap_before * std::mem::size_of::<u64>();
+            let target = self.containing(read_ptr(cell)).map(|(_, id)| id);
+            let unbound = match self.escape_owner.entry(cell) {
+                Entry::Occupied(mut slot) => {
+                    let (prev_id, prev_pos) = *slot.get();
+                    if target == Some(prev_id) {
+                        // Re-pointed within the same allocation: the
+                        // binding stands.
+                        self.slab[prev_id as usize].escapes_ever += 1;
+                        resolved += 1;
+                        continue;
+                    }
+                    match target {
+                        Some(id) => {
+                            slot.insert((id, self.slab[id as usize].escapes.len() as u32));
+                        }
+                        None => {
+                            slot.remove();
+                        }
+                    }
+                    Some((prev_id, prev_pos))
                 }
+                Entry::Vacant(slot) => {
+                    if let Some(id) = target {
+                        slot.insert((id, self.slab[id as usize].escapes.len() as u32));
+                    }
+                    None
+                }
+            };
+            if let Some((prev_id, prev_pos)) = unbound {
+                self.unlist(prev_id, prev_pos);
             }
-            let ptr = read_ptr(cell);
-            let Some((start, _)) = self.find_containing(ptr) else {
+            let Some(id) = target else {
                 continue; // null or points outside tracked memory
             };
-            let info = self.tree.get_mut(&start).expect("found above");
-            let cap_before = info.escapes.capacity();
-            if info.escapes.insert(cell) {
-                info.escapes_ever += 1;
-            }
-            self.escape_set_bytes += info.escapes.capacity() * std::mem::size_of::<u64>();
-            self.escape_set_bytes -= cap_before * std::mem::size_of::<u64>();
-            self.escape_owner.insert(cell, start);
+            let info = &mut self.slab[id as usize];
+            self.escape_list_bytes -= list_bytes(&info.escapes);
+            info.escapes.push(cell);
+            self.escape_list_bytes += list_bytes(&info.escapes);
+            info.escapes_ever += 1;
             resolved += 1;
         }
         self.stats.escapes_resolved += resolved as u64;
         resolved
     }
 
-    /// Start addresses of allocations overlapping `[lo, hi)`.
-    pub fn overlapping(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.overlapping_infos(lo, hi).map(|(s, _)| s).collect()
-    }
-
     /// Allocations overlapping `[lo, hi)` as `(start, &info)` pairs, in
     /// ascending start order (a straddler from below comes first). The
-    /// patch planner and expansion loops iterate this directly, avoiding
-    /// both the intermediate start vector and the per-start re-lookup
-    /// through [`Self::info`].
+    /// patch planner and expansion loops iterate this directly; the scan
+    /// seeks to `lo` in O(log n).
     pub fn overlapping_infos(
         &self,
         lo: u64,
@@ -192,7 +277,8 @@ impl AllocationTable {
         // An allocation starting strictly before `lo` may straddle into the
         // range.
         let straddler = if lo > 0 {
-            self.tree.floor(&(lo - 1)).and_then(|(&start, info)| {
+            self.tree.floor(&(lo - 1)).and_then(|(&start, &id)| {
+                let info = &self.slab[id as usize];
                 (start < lo && start + info.len > lo).then_some((start, info))
             })
         } else {
@@ -200,74 +286,103 @@ impl AllocationTable {
         };
         straddler.into_iter().chain(
             self.tree
-                .iter()
-                .skip_while(move |&(&start, _)| start < lo)
+                .iter_from(&lo)
                 .take_while(move |&(&start, _)| start < hi)
-                .map(|(&start, info)| (start, info)),
+                .map(|(&start, &id)| (start, &self.slab[id as usize])),
         )
     }
 
     /// Borrow an allocation's metadata by start address.
     pub fn info(&self, start: u64) -> Option<&AllocInfo> {
-        self.tree.get(&start)
+        self.tree.get(&start).map(|&id| &self.slab[id as usize])
     }
 
-    /// Mutable metadata access (used by the patching engine).
-    pub fn info_mut(&mut self, start: u64) -> Option<&mut AllocInfo> {
-        self.tree.get_mut(&start)
+    /// Every live allocation as `(start, &info)`, in no particular order:
+    /// one linear pass over the tree's node arena, for scans that fold the
+    /// whole table.
+    pub fn iter_unordered(&self) -> impl Iterator<Item = (u64, &AllocInfo)> + '_ {
+        self.tree
+            .iter_arena()
+            .map(|(&start, &id)| (start, &self.slab[id as usize]))
     }
 
-    /// Hand an existing escape set (e.g. salvaged from [`Self::track_free`])
-    /// to the allocation at `start`, keeping the incremental byte
-    /// accounting behind [`Self::memory_overhead_bytes`] consistent.
-    pub fn adopt_escapes(&mut self, start: u64, escapes: FastSet<u64>, escapes_ever: u64) {
-        if let Some(info) = self.tree.get_mut(&start) {
-            let cap_before = info.escapes.capacity();
-            info.escapes = escapes;
-            info.escapes_ever = escapes_ever;
-            self.escape_set_bytes += info.escapes.capacity() * std::mem::size_of::<u64>();
-            self.escape_set_bytes -= cap_before * std::mem::size_of::<u64>();
-        }
+    /// Start of the allocation with the most live escapes among those
+    /// `keep(start, len)` accepts. Ties go to the highest start — the last
+    /// maximum in address order. One allocation-free pass over the arena.
+    pub fn most_escaped(&self, mut keep: impl FnMut(u64, u64) -> bool) -> Option<u64> {
+        self.iter_unordered()
+            .filter(|&(start, info)| keep(start, info.len))
+            .map(|(start, info)| (info.escapes.len(), start))
+            .max()
+            .map(|(_, start)| start)
     }
 
-    /// Relocate allocation `start` to `start + delta`, rebasing its key.
-    /// Escape-cell rebasing is the patch engine's job; this moves only the
-    /// table entry.
+    /// Relocate allocation `start` to `start + delta`: one tree re-key.
+    /// Its escape list and reverse-map entries follow the stable id;
+    /// cells that themselves moved are [`Self::move_range`]'s job.
     pub fn relocate(&mut self, start: u64, delta: i64) {
-        if let Some(info) = self.tree.remove(&start) {
-            let new_start = start.wrapping_add(delta as u64);
-            for e in &info.escapes {
-                self.escape_owner.insert(*e, new_start);
-            }
-            self.tree.insert(new_start, info);
+        if let Some(id) = self.tree.remove(&start) {
+            self.insert_key(start.wrapping_add(delta as u64), id);
         }
+    }
+
+    /// Table maintenance for a move of `[lo, hi)` by `delta`: rebase the
+    /// escape cells located in the range, then relocate every allocation
+    /// overlapping it. Returns the number of cells rebased.
+    pub fn move_range(&mut self, lo: u64, hi: u64, delta: i64) -> usize {
+        let cells = self.rebase_escape_cells(lo, hi, delta);
+        let starts: Vec<u64> = self.overlapping_infos(lo, hi).map(|(s, _)| s).collect();
+        // Lift every key before re-inserting any, so a destination that
+        // reuses a moved start cannot collide with it.
+        let ids: Vec<u32> = starts
+            .iter()
+            .map(|s| self.tree.remove(s).expect("listed above"))
+            .collect();
+        for (start, id) in starts.into_iter().zip(ids) {
+            self.insert_key(start.wrapping_add(delta as u64), id);
+        }
+        cells
     }
 
     /// Rebase escape cells that themselves live inside `[lo, hi)` by
-    /// `delta` (their containing allocation moved, so the cells moved).
-    pub fn rebase_escape_cells(&mut self, lo: u64, hi: u64, delta: i64) -> usize {
-        let moved: Vec<(u64, u64)> = self
+    /// `delta` (their containing allocation moved, so the cells moved):
+    /// one scan of the reverse map, then per moved cell one re-key and
+    /// one in-place write of its list slot.
+    fn rebase_escape_cells(&mut self, lo: u64, hi: u64, delta: i64) -> usize {
+        let moved: Vec<(u64, (u32, u32))> = self
             .escape_owner
-            .iter()
-            .filter(|(&cell, _)| cell >= lo && cell < hi)
-            .map(|(&c, &o)| (c, o))
+            .extract_if(|&cell, _| cell >= lo && cell < hi)
             .collect();
-        for &(cell, owner) in &moved {
+        let mut displaced = Vec::new();
+        for &(cell, (id, pos)) in &moved {
             let new_cell = cell.wrapping_add(delta as u64);
-            self.escape_owner.remove(&cell);
-            self.escape_owner.insert(new_cell, owner);
-            if let Some(info) = self.tree.get_mut(&owner) {
-                let cap_before = info.escapes.capacity();
-                info.escapes.remove(&cell);
-                info.escapes.insert(new_cell);
-                // remove+insert can shrink capacity() by a tombstone, so
-                // apply the delta as add-then-subtract (never underflows:
-                // the total includes this set's previous contribution).
-                self.escape_set_bytes += info.escapes.capacity() * std::mem::size_of::<u64>();
-                self.escape_set_bytes -= cap_before * std::mem::size_of::<u64>();
+            self.slab[id as usize].escapes[pos as usize] = new_cell;
+            if let Some(old) = self.escape_owner.insert(new_cell, (id, pos)) {
+                displaced.push(old);
             }
         }
+        // A moved cell landed on a cell bound elsewhere; the move overwrote
+        // that memory, so the old binding goes. Highest index first, so no
+        // swap-remove pulls another displaced slot forward.
+        displaced.sort_unstable_by(|a, b| b.cmp(a));
+        for (id, pos) in displaced {
+            self.unlist(id, pos);
+        }
         moved.len()
+    }
+
+    /// Give allocation `start` the extent `[new_start, new_start +
+    /// new_len)` — stack expansion, where the moved stack grows down over
+    /// its whole new block. It keeps its id, escape list and reverse-map
+    /// entries, and no statistic changes: the allocation lives on.
+    /// Returns whether `start` was tracked.
+    pub fn extend(&mut self, start: u64, new_start: u64, new_len: u64) -> bool {
+        let Some(id) = self.tree.remove(&start) else {
+            return false;
+        };
+        self.slab[id as usize].len = new_len;
+        self.insert_key(new_start, id);
+        true
     }
 
     /// Total live escapes across every allocation, read off the reverse
@@ -281,32 +396,83 @@ impl AllocationTable {
     pub fn snapshot(&self) -> Vec<(u64, u64, usize, u64)> {
         self.tree
             .iter()
-            .map(|(&s, i)| (s, i.len, i.escapes.len(), i.escapes_ever))
+            .map(|(&s, &id)| {
+                let i = &self.slab[id as usize];
+                (s, i.len, i.escapes.len(), i.escapes_ever)
+            })
             .collect()
     }
 
     /// Fold live allocations into the lifetime escape histogram (call at
     /// program end before reading [`TrackStats::escape_histogram`]).
     pub fn finish(&mut self) {
-        let counts: Vec<u64> = self.tree.iter().map(|(_, i)| i.escapes_ever).collect();
-        for c in counts {
+        for (_, &id) in self.tree.iter() {
+            let c = self.slab[id as usize].escapes_ever;
             *self.stats.escape_histogram.entry(c).or_insert(0) += 1;
         }
     }
 
-    /// Approximate bytes of tracking state — the Figure 6 memory overhead.
+    /// Validate the layout (test support): the tree is a valid red/black
+    /// tree keying each live slab id once, every other id is on the free
+    /// list, each listed cell maps back to its id and index and nothing
+    /// else is mapped, and the incremental list-byte count equals a fold
+    /// over the live lists.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.tree.check_invariants()?;
+        let mut keyed = vec![false; self.slab.len()];
+        let (mut listed, mut bytes) = (0, 0);
+        for (&start, &id) in self.tree.iter() {
+            if std::mem::replace(&mut keyed[id as usize], true) {
+                return Err(format!("slab id {id} keyed twice (at {start:#x})"));
+            }
+            let info = &self.slab[id as usize];
+            bytes += list_bytes(&info.escapes);
+            for (pos, cell) in info.escapes.iter().enumerate() {
+                if self.escape_owner.get(cell) != Some(&(id, pos as u32)) {
+                    return Err(format!(
+                        "cell {cell:#x} listed at ({id}, {pos}) maps to {:?}",
+                        self.escape_owner.get(cell)
+                    ));
+                }
+                listed += 1;
+            }
+        }
+        if self.free_ids.iter().any(|&id| keyed[id as usize]) {
+            return Err("a keyed slab id is on the free list".into());
+        }
+        if self.tree.len() + self.free_ids.len() != self.slab.len() {
+            return Err("a slab id is neither keyed nor free".into());
+        }
+        if listed != self.escape_owner.len() {
+            return Err(format!(
+                "{} mapped cells, {listed} listed",
+                self.escape_owner.len()
+            ));
+        }
+        if bytes != self.escape_list_bytes {
+            return Err(format!(
+                "escape lists hold {bytes} bytes, {} counted",
+                self.escape_list_bytes
+            ));
+        }
+        Ok(())
+    }
+
+    /// Approximate bytes of tracking state — the Figure 6 memory overhead:
+    /// tree nodes, the slab, every escape list's capacity, the reverse map
+    /// and the pending queue.
     ///
-    /// O(1): the escape-set component is maintained incrementally, so the
+    /// O(1): the escape-list component is maintained incrementally, so the
     /// VM can sample this on every tracking callback without a table walk.
     pub fn memory_overhead_bytes(&self) -> usize {
-        let tree = self.tree.heap_bytes();
-        let reverse = self.escape_owner.capacity()
-            * (std::mem::size_of::<u64>() * 2 + std::mem::size_of::<usize>());
-        let pending = self.pending.capacity() * std::mem::size_of::<u64>();
-        tree + self.escape_set_bytes + reverse + pending
+        self.tree.heap_bytes()
+            + self.slab.capacity() * std::mem::size_of::<AllocInfo>()
+            + self.free_ids.capacity() * std::mem::size_of::<u32>()
+            + self.escape_list_bytes
+            + self.escape_owner.capacity() * REVERSE_SLOT_BYTES
+            + self.pending.capacity() * std::mem::size_of::<u64>()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,7 +531,10 @@ mod tests {
         t.track_alloc(0x0f00, 0x200, AllocKind::Heap); // straddles 0x1000
         t.track_alloc(0x1000, 0x100, AllocKind::Heap);
         t.track_alloc(0x3000, 0x100, AllocKind::Heap);
-        let hits = t.overlapping(0x1000, 0x2000);
+        let hits: Vec<u64> = t
+            .overlapping_infos(0x1000, 0x2000)
+            .map(|(s, _)| s)
+            .collect();
         assert_eq!(hits, vec![0x0f00, 0x1000]);
     }
 
@@ -426,8 +595,9 @@ mod tests {
         assert!(t.memory_overhead_bytes() > before);
     }
 
-    /// The incrementally-maintained escape-set byte count must equal a
-    /// from-scratch fold over every live allocation.
+    /// The incrementally-maintained escape-list byte count must equal a
+    /// from-scratch fold over every live allocation (one of the checks in
+    /// `check_invariants`).
     #[test]
     fn incremental_escape_bytes_match_full_fold() {
         let mut t = AllocationTable::new();
@@ -447,14 +617,66 @@ mod tests {
             t.track_free(0x10000 + i * 0x100);
         }
         t.rebase_escape_cells(0x90000, 0x90400, 0x1_0000);
-        let fold: usize = (0..64u64)
-            .filter_map(|i| t.info(0x10000 + i * 0x100))
-            .map(|info| info.escapes.capacity() * std::mem::size_of::<u64>())
-            .sum();
-        let tree = t.tree.heap_bytes();
-        let reverse = t.escape_owner.capacity()
-            * (std::mem::size_of::<u64>() * 2 + std::mem::size_of::<usize>());
-        let pending = t.pending.capacity() * std::mem::size_of::<u64>();
-        assert_eq!(t.memory_overhead_bytes(), tree + fold + reverse + pending);
+        t.check_invariants().unwrap();
+    }
+
+    /// Growing an allocation keeps its identity: its escape cells stay
+    /// mapped, so rebinding one later takes it off the list.
+    #[test]
+    fn extend_keeps_escapes_bound() {
+        let mut t = AllocationTable::new();
+        t.track_alloc(0x1000, 0x100, AllocKind::Stack);
+        t.track_alloc(0x8000, 0x100, AllocKind::Heap);
+        t.track_escape(0x5000);
+        t.track_escape(0x5008);
+        t.flush_escapes(|_| 0x1010);
+        assert!(t.extend(0x1000, 0x0f00, 0x200));
+        assert!(t.info(0x1000).is_none());
+        let grown = t.info(0x0f00).expect("re-keyed");
+        assert_eq!(
+            (grown.len, grown.escapes.len(), grown.escapes_ever),
+            (0x200, 2, 2)
+        );
+        assert_eq!(t.stats.frees, 0, "the allocation lives on");
+        t.track_escape(0x5000);
+        t.flush_escapes(|_| 0x8000);
+        assert_eq!(t.info(0x0f00).unwrap().escapes, vec![0x5008]);
+        assert_eq!(t.info(0x8000).unwrap().escapes, vec![0x5000]);
+    }
+
+    /// `move_range` relocates every overlapping allocation and the cells
+    /// inside the range, and leaves the rest alone.
+    #[test]
+    fn move_range_moves_cells_and_allocations() {
+        let mut t = AllocationTable::new();
+        t.track_alloc(0x1000, 0x100, AllocKind::Heap);
+        t.track_alloc(0x1100, 0x100, AllocKind::Heap);
+        t.track_alloc(0x3000, 0x100, AllocKind::Heap);
+        // 0x1010 (inside the range) and 0x3010 (outside) both point at 0x1100.
+        t.track_escape(0x1010);
+        t.track_escape(0x3010);
+        t.flush_escapes(|_| 0x1100);
+        assert_eq!(t.move_range(0x1000, 0x1200, 0x10_0000), 1);
+        let starts: Vec<u64> = t.snapshot().iter().map(|e| e.0).collect();
+        assert_eq!(starts, vec![0x3000, 0x10_1000, 0x10_1100]);
+        let mut cells = t.info(0x10_1100).unwrap().escapes.clone();
+        cells.sort_unstable();
+        assert_eq!(cells, vec![0x3010, 0x10_1010]);
+    }
+
+    /// Victim choice breaks ties toward the highest start, like
+    /// `max_by_key` over the address-ordered snapshot.
+    #[test]
+    fn most_escaped_breaks_ties_high() {
+        let mut t = AllocationTable::new();
+        for start in [0x1000, 0x2000, 0x3000] {
+            t.track_alloc(start, 0x100, AllocKind::Heap);
+        }
+        t.track_escape(0x9000);
+        t.track_escape(0x9008);
+        t.flush_escapes(|c| if c == 0x9000 { 0x1000 } else { 0x2000 });
+        assert_eq!(t.most_escaped(|_, _| true), Some(0x2000));
+        assert_eq!(t.most_escaped(|s, _| s != 0x2000), Some(0x1000));
+        assert_eq!(t.most_escaped(|_, _| false), None);
     }
 }

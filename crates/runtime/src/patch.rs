@@ -480,11 +480,8 @@ pub fn perform_moves(
                 }
             }
         }
-        for (table, affected) in tables.iter_mut().zip(&plan.affected) {
-            table.rebase_escape_cells(src, src + len, plan.delta);
-            for &start in affected {
-                table.relocate(start, plan.delta);
-            }
+        for table in tables.iter_mut() {
+            table.move_range(src, src + len, plan.delta);
         }
         let allocations: usize = plan.affected.iter().map(Vec::len).sum();
         outcomes.push(MoveOutcome {
@@ -532,8 +529,7 @@ pub fn perform_move_alloc_granular(
         }
     }
     mem.copy(alloc_start, dst, len);
-    table.rebase_escape_cells(alloc_start, alloc_start + len, plan.delta);
-    table.relocate(alloc_start, plan.delta);
+    table.move_range(alloc_start, alloc_start + len, plan.delta);
     Some(MoveOutcome {
         moved_src: alloc_start,
         moved_len: len,

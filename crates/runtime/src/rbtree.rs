@@ -3,7 +3,8 @@
 //! The CARAT prototype's Allocation Table "is currently implemented as a
 //! C++ red/black tree whose key is the address of an allocated block"; this
 //! is the equivalent structure, arena-backed, with the order queries the
-//! runtime needs (`floor`: greatest key ≤ x) and full delete support.
+//! runtime needs (`floor`: greatest key ≤ x, `iter_from`: seek to the
+//! first key ≥ x) and full delete support.
 //!
 //! Verified against `BTreeMap` by property tests and by an internal
 //! invariant checker.
@@ -439,14 +440,35 @@ impl<K: Ord, V> RbTree<K, V> {
         Iter { tree: self, stack }
     }
 
+    /// In-order iteration from the first key ≥ `lo`: an O(log n) seek,
+    /// then the same walk as [`Self::iter`].
+    pub fn iter_from(&self, lo: &K) -> Iter<'_, K, V> {
+        let mut stack = Vec::new();
+        let mut cur = self.root;
+        while cur != NIL {
+            if self.node(cur).key >= *lo {
+                stack.push(cur);
+                cur = self.node(cur).left;
+            } else {
+                cur = self.node(cur).right;
+            }
+        }
+        Iter { tree: self, stack }
+    }
+
+    /// Every entry in node-arena order (no key order): one linear pass
+    /// with no stack, for whole-tree scans that only fold the entries.
+    pub fn iter_arena(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        self.nodes
+            .iter()
+            .filter_map(|n| n.val.as_ref().map(|v| (&n.key, v)))
+    }
+
     /// Keys in range `[lo, hi)` (by key order), in order.
-    pub fn range_keys(&self, lo: &K, hi: &K) -> Vec<&K>
-    where
-        K: Clone,
-    {
-        self.iter()
-            .filter(|(k, _)| *k >= lo && *k < hi)
+    pub fn range_keys(&self, lo: &K, hi: &K) -> Vec<&K> {
+        self.iter_from(lo)
             .map(|(k, _)| k)
+            .take_while(|k| *k < hi)
             .collect()
     }
 
@@ -607,6 +629,39 @@ mod tests {
             let tv: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
             let mv: Vec<(u64, u64)> = m.iter().map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(tv, mv);
+        }
+
+        /// The seek agrees with `BTreeMap::range`, and the arena pass
+        /// visits exactly the in-order entries, across inserts, removes
+        /// and recycled slots.
+        #[test]
+        fn seek_and_arena_pass_agree_with_btreemap(
+            ops in proptest::collection::vec((proptest::bool::ANY, 0u64..64), 1..200),
+            bounds in proptest::collection::vec((0u64..70, 0u64..70), 1..8),
+        ) {
+            let mut t: RbTree<u64, u64> = RbTree::new();
+            let mut m: BTreeMap<u64, u64> = BTreeMap::new();
+            for (i, (insert, k)) in ops.into_iter().enumerate() {
+                if insert {
+                    t.insert(k, i as u64);
+                    m.insert(k, i as u64);
+                } else {
+                    t.remove(&k);
+                    m.remove(&k);
+                }
+            }
+            for (lo, hi) in bounds {
+                let from_t: Vec<(u64, u64)> = t.iter_from(&lo).map(|(k, v)| (*k, *v)).collect();
+                let from_m: Vec<(u64, u64)> = m.range(lo..).map(|(k, v)| (*k, *v)).collect();
+                prop_assert_eq!(from_t, from_m);
+                let keys_t: Vec<u64> = t.range_keys(&lo, &hi).into_iter().copied().collect();
+                let keys_m: Vec<u64> = m.range(lo..hi.max(lo)).map(|(k, _)| *k).collect();
+                prop_assert_eq!(keys_t, keys_m);
+            }
+            let mut arena: Vec<(u64, u64)> = t.iter_arena().map(|(k, v)| (*k, *v)).collect();
+            arena.sort_unstable();
+            let in_order: Vec<(u64, u64)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(arena, in_order);
         }
     }
 }

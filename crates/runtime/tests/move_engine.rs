@@ -75,8 +75,7 @@ impl Fixture {
                     t.snapshot()
                         .iter()
                         .map(|&(start, ..)| {
-                            let mut cells: Vec<u64> =
-                                t.info(start).unwrap().escapes.iter().copied().collect();
+                            let mut cells = t.info(start).unwrap().escapes.clone();
                             cells.sort_unstable();
                             cells
                         })

@@ -7,7 +7,7 @@
 //! other pointer; here the metadata is host-side, so the rebase is
 //! explicit.
 
-use std::collections::HashMap;
+use carat_runtime::FastMap;
 
 /// Allocation alignment.
 const ALIGN: u64 = 16;
@@ -17,8 +17,10 @@ const ALIGN: u64 = 16;
 pub struct HeapAllocator {
     /// Free chunks `(start, len)`, kept sorted by start and coalesced.
     free: Vec<(u64, u64)>,
-    /// Live blocks `start -> len`.
-    allocated: HashMap<u64, u64>,
+    /// Live blocks `start -> len`. A cheap integer hash: `alloc`/`free`
+    /// run on the guest's malloc path, far more often than a rebase scans
+    /// the map.
+    allocated: FastMap<u64, u64>,
     /// High-water mark of live bytes.
     pub peak_bytes: u64,
     /// Currently live bytes.
@@ -30,7 +32,7 @@ impl HeapAllocator {
     pub fn new(base: u64, len: u64) -> HeapAllocator {
         HeapAllocator {
             free: vec![(base, len)],
-            allocated: HashMap::new(),
+            allocated: FastMap::default(),
             peak_bytes: 0,
             live_bytes: 0,
         }
@@ -97,7 +99,7 @@ impl HeapAllocator {
 
     /// Capsule view of the allocator: the free list (already sorted) and
     /// the live-block map sorted by start address, so serializing the
-    /// same heap twice yields identical bytes regardless of `HashMap`
+    /// same heap twice yields identical bytes regardless of map
     /// iteration order.
     #[allow(clippy::type_complexity)]
     pub(crate) fn snapshot(&self) -> (&[(u64, u64)], Vec<(u64, u64)>) {
@@ -252,6 +254,62 @@ mod tests {
             total += 16;
         }
         assert_eq!(total, 0x2000);
+    }
+
+    /// Live blocks move by start address (a block straddling `lo` stays,
+    /// one straddling `hi` moves whole); free chunks split at both ends.
+    #[test]
+    fn rebase_with_blocks_straddling_both_ends() {
+        let fresh = || {
+            let mut h = HeapAllocator::new(0x1000, 0x600);
+            let blocks: Vec<u64> = (0..6).map(|_| h.alloc(0x100).unwrap()).collect();
+            assert_eq!(blocks[0], 0x1000);
+            h.free(0x1100);
+            h.free(0x1400);
+            h
+        };
+        let live = |h: &HeapAllocator| h.snapshot().1;
+        let free = |h: &HeapAllocator| h.snapshot().0.to_vec();
+
+        // `lo` inside live 0x1000, `hi` inside free [0x1400, 0x1500).
+        let mut h = fresh();
+        h.rebase(0x1080, 0x400, 0x1_0000);
+        assert_eq!(
+            live(&h),
+            vec![
+                (0x1000, 0x100),
+                (0x1500, 0x100),
+                (0x1_1200, 0x100),
+                (0x1_1300, 0x100)
+            ]
+        );
+        assert_eq!(
+            free(&h),
+            vec![(0x1480, 0x80), (0x1_1100, 0x100), (0x1_1400, 0x80)]
+        );
+
+        // `lo` inside free [0x1100, 0x1200), `hi` inside live 0x1300.
+        let mut h = fresh();
+        h.rebase(0x1180, 0x200, 0x1_0000);
+        assert_eq!(
+            live(&h),
+            vec![
+                (0x1000, 0x100),
+                (0x1500, 0x100),
+                (0x1_1200, 0x100),
+                (0x1_1300, 0x100)
+            ]
+        );
+        assert_eq!(
+            free(&h),
+            vec![(0x1100, 0x80), (0x1400, 0x100), (0x1_1180, 0x80)]
+        );
+        assert_eq!((h.live_blocks(), h.live_bytes), (4, 0x400));
+        assert_eq!(
+            h.free(0x1_1300),
+            Some(0x100),
+            "moved blocks free at their new start"
+        );
     }
 
     proptest! {

@@ -3821,15 +3821,11 @@ impl Vm {
         let page_size = self.kernel.cost.page_size;
         let Some(page) = self
             .table
-            .snapshot()
-            .into_iter()
-            .filter(|&(start, _, _, _)| !SimKernel::is_poison(start))
-            .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
-            .map(|(start, _, _, _)| start / page_size * page_size)
+            .most_escaped(|start, _| !SimKernel::is_poison(start))
+            .map(|start| start / page_size * page_size)
         else {
             return Ok(());
         };
-        let _ = page_size;
         let (mut regs, map) = self.snapshot_regs();
         let threads = self.live_threads() + self.cfg.extra_threads;
         let Some((world, slot, src, len)) =

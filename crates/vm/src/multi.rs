@@ -1523,18 +1523,11 @@ impl MultiVm {
                 }
             }
         }
-        let page_size = self.kernel.cost.page_size;
-        // Skip already-swapped regions and pinned DMA targets: the
-        // kernel's `page_out` would refuse a pinned range with a typed
-        // error anyway, but not selecting it keeps the rung useful.
-        let target = table
-            .snapshot()
-            .into_iter()
-            .filter(|&(start, len, _, _)| {
-                !SimKernel::is_poison(start) && self.kernel.pinned_overlap(start, len).is_none()
-            })
-            .max_by_key(|&(_, _, escapes_live, _)| escapes_live)
-            .map(|(start, _, _, _)| start / page_size * page_size);
+        // The worst page skips already-swapped regions and pinned DMA
+        // targets: the kernel's `page_out` would refuse a pinned range
+        // with a typed error anyway, but not selecting it keeps the rung
+        // useful.
+        let target = self.kernel.worst_page(&table);
         if let Some(page) = target {
             let (mut regs, map) = vm.snapshot_regs();
             if let Ok(Some((world, slot, src, len))) =
